@@ -1,6 +1,6 @@
 # Tier-1 verification and benchmark recording.
 
-.PHONY: verify bench test vet lint race profile
+.PHONY: verify bench bench-smoke test vet lint race profile
 
 # verify is the tier-1 flow: vet, lint, build, the full test suite, and
 # the race detector over the concurrent sweep harness, the sweep
@@ -36,6 +36,13 @@ race:
 BENCH_OUT ?= BENCH.json
 bench:
 	scripts/bench.sh $(BENCH_OUT)
+
+# bench-smoke runs the benchmark's own smoke test (smtbench is a separate
+# module, so the root `go test ./...` never sees it): every workload at a
+# tiny size, its checks, the metric names BENCHMARK.json declares, and
+# the A/B harness's verdict logic.
+bench-smoke:
+	cd smtbench && go test .
 
 # profile runs the Table 1 reference workload under the CPU and
 # allocation profilers and prints the hottest functions — the first stop

@@ -62,7 +62,7 @@ func main() {
 		log.Fatalf("smtsweepd: %v", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	//smt:fire-and-forget(process-lifetime listener; hs.Shutdown below unblocks it and main exits)
 	go func() { errc <- hs.ListenAndServe() }()
@@ -84,6 +84,26 @@ func main() {
 	}
 	if err := srv.Shutdown(); err != nil {
 		log.Fatalf("smtsweepd: %v", err)
+	}
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers and may hold an idle keep-alive connection for
+// idleTimeout; past either, the server closes the connection, so slow
+// or abandoned clients cannot pin connections forever. There is no
+// write timeout: the NDJSON stream route stays open for the whole sweep.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server over h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

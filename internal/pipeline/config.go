@@ -131,10 +131,13 @@ type Config struct {
 	// DESIGN.md §5); the flag exists for the differential cross-check.
 	PollingWakeup bool
 
-	// MaxCycles caps the simulation as a safety net (0 = default cap).
+	// MaxCycles caps the simulation as a safety net (0 = default cap:
+	// per budgeted instruction, 400 cycles or two memory accesses,
+	// whichever is longer, plus 10M).
 	MaxCycles int64
 	// StallLimit is the no-commit cycle count treated as a deadlock by
-	// the safety net (0 = default).
+	// the safety net (0 = default: 100k cycles or 64 memory accesses,
+	// whichever is longer).
 	StallLimit int64
 
 	// Sanitize enables the cycle-granular invariant sanitizer (package

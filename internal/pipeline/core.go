@@ -218,10 +218,6 @@ type Core struct {
 	// the reference run.
 	forcePlain bool
 
-	// lastDue records the due-stage bitmask of the most recent gated (or
-	// verified) cycle, for tests and diagnostics.
-	lastDue stageMask
-
 	// commitable is a per-thread bitmask meaning "this thread's ROB head
 	// may be completed": writeback sets a thread's bit when it completes
 	// the head, commit clears it when its in-order scan stops on an
@@ -483,13 +479,17 @@ func (c *Core) Run(maxCommit uint64) (metrics.Results, error) {
 	if maxCommit == 0 {
 		return c.Results(), fmt.Errorf("pipeline: zero commit budget")
 	}
+	// The slowest single access is an L2 miss to memory, so a legal
+	// no-commit stretch and a legal run length both grow with it. The
+	// fixed floors are the defaults at Table 1's memory latency.
+	miss := int64(c.hier.L2.Config().HitCycles + c.hier.MemCycles)
 	maxCycles := c.cfg.MaxCycles
 	if maxCycles == 0 {
-		maxCycles = int64(maxCommit)*400 + 10_000_000
+		maxCycles = int64(maxCommit)*max(400, 2*miss) + 10_000_000
 	}
 	stallLimit := c.cfg.StallLimit
 	if stallLimit == 0 {
-		stallLimit = 100_000
+		stallLimit = max(100_000, 64*miss)
 	}
 	for {
 		quiet := c.stepCycle()
@@ -527,20 +527,6 @@ func (c *Core) Run(maxCommit uint64) (metrics.Results, error) {
 //smt:hotpath
 func (c *Core) Step() { c.stepCycle() }
 
-// stageMask is the due-stage bitmask the gated step builds as it walks
-// the pipeline: bit set = the stage's activity horizon has arrived and
-// the stage runs this cycle.
-type stageMask uint8
-
-const (
-	stageWriteback stageMask = 1 << iota
-	stageCommit
-	stageIssue
-	stageDispatch
-	stageRename
-	stageFetch
-)
-
 // stepCycle is Step, additionally reporting whether the cycle was
 // quiescent: no completion drained, nothing committed, issued,
 // dispatched or renamed, no watchdog flush, and no thread eligible to
@@ -567,28 +553,25 @@ func (c *Core) stepCycle() bool {
 	return c.stepPlain()
 }
 
-// stepGated runs one cycle consulting the due-stage bitmask. Each
-// stage's due bit is evaluated immediately before the stage would run —
-// never earlier — because upstream stages feed the predicates within the
-// cycle: writeback sets commitable bits commit consumes, its broadcasts
-// grow the ready list issue consumes, and a watchdog flush rewrites the
-// front-end state rename and fetch consult. A skipped stage's only
-// replayed state is its round-robin rotation (commit, rename) or
-// selector tick (fetch); everything else it would have touched is
-// provably untouched by the horizon's contract.
+// stepGated runs one cycle consulting each stage's activity horizon.
+// Each stage's due predicate is evaluated immediately before the stage
+// would run — never earlier — because upstream stages feed the
+// predicates within the cycle: writeback sets commitable bits commit
+// consumes, its broadcasts grow the ready list issue consumes, and a
+// watchdog flush rewrites the front-end state rename and fetch consult.
+// A skipped stage's only replayed state is its round-robin rotation
+// (commit, rename) or selector tick (fetch); everything else it would
+// have touched is provably untouched by the horizon's contract.
 //
 //smt:hotpath
 func (c *Core) stepGated() bool {
 	c.cycle++
-	var due stageMask
 	popped := 0
 	if c.events.hasDue(c.cycle) {
-		due |= stageWriteback
 		popped = c.writeback()
 	}
 	committed := 0
 	if !c.commitSkip || c.commitable != 0 {
-		due |= stageCommit
 		committed = c.commit()
 	} else {
 		c.commitRR++
@@ -598,14 +581,12 @@ func (c *Core) stepGated() bool {
 	}
 	issued := 0
 	if c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0 {
-		due |= stageIssue
 		issued = c.issue()
 	}
 	dispatched := 0
 	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
 		c.disp.ReplayIdle(1)
 	} else {
-		due |= stageDispatch
 		dispatched = c.disp.Run(c.cycle, c.q, c.rf, c.robs)
 	}
 	fired := false
@@ -615,7 +596,6 @@ func (c *Core) stepGated() bool {
 	}
 	renamed := 0
 	if c.renameHorizon <= c.cycle {
-		due |= stageRename
 		renamed = c.rename()
 	} else {
 		c.renameRR++
@@ -629,12 +609,10 @@ func (c *Core) stepGated() bool {
 	c.dispFrozen = dispatched == 0 && !fired && renamed == 0
 	fetchable := false
 	if c.fetchHorizon <= c.cycle {
-		due |= stageFetch
 		fetchable = c.fetch()
 	} else {
 		c.sel.SkipIdle(1)
 	}
-	c.lastDue = due
 	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
 		!fired && renamed == 0 && !fetchable
 }
@@ -681,7 +659,6 @@ func (c *Core) stepPlain() bool {
 func (c *Core) stepVerify() bool {
 	c.cycle++
 	gated := c.eventWakeup && !c.forcePlain
-	var due stageMask
 	dueWB := !gated || c.events.hasDue(c.cycle)
 	popped := c.writeback()
 	if !dueWB && popped != 0 {
@@ -696,15 +673,6 @@ func (c *Core) stepVerify() bool {
 	issued := c.issue()
 	if !dueIs && issued != 0 {
 		c.horizonFail("issue", issued)
-	}
-	if dueWB {
-		due |= stageWriteback
-	}
-	if dueCm {
-		due |= stageCommit
-	}
-	if dueIs {
-		due |= stageIssue
 	}
 	dispatched := 0
 	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
@@ -728,16 +696,6 @@ func (c *Core) stepVerify() bool {
 	if !dueFt && fetchable {
 		c.horizonFail("fetch", 1)
 	}
-	if dispatched > 0 || !c.dispFrozen {
-		due |= stageDispatch
-	}
-	if dueRn {
-		due |= stageRename
-	}
-	if dueFt {
-		due |= stageFetch
-	}
-	c.lastDue = due
 	c.sanitize()
 	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
 		!fired && renamed == 0 && !fetchable

@@ -45,8 +45,13 @@ func (r *Report) Render() string {
 }
 
 // Generate runs the full evaluation. The section names are stable
-// identifiers the shape checks key on.
+// identifiers the shape checks key on. In process (no Runner), the
+// sections share one cell memo (sweep.Options.Shared), so a cell that
+// several figures read simulates once per report.
 func Generate(o sweep.Options) (*Report, error) {
+	if o.Runner == nil {
+		o = o.Shared()
+	}
 	gens := []struct {
 		name string
 		run  func() (sweep.Table, error)

@@ -49,6 +49,74 @@ type Options struct {
 	// are identical to the ones the local path simulates, so results
 	// are bit-identical by construction.
 	Runner CellRunner
+
+	// memo, installed by Shared, makes the in-process path simulate
+	// each distinct cell once.
+	memo *memo
+}
+
+// Shared returns o with an in-process cell memo installed, or o itself
+// when it already carries one. Every figure run with the returned
+// Options, or a copy of them, simulates each distinct cell spec once:
+// a later cell with the same content hash (cellstore.Spec.Key) reuses
+// the first result, and a concurrent one waits for the simulation
+// already in flight. The memo lives as long as the Options copies that
+// hold it, so report.Generate scopes it to one report. A Runner sees
+// every cell regardless; sweepd dedups by the same key on its side.
+func (o Options) Shared() Options {
+	if o.memo == nil {
+		o.memo = &memo{flights: map[string]*flight{}}
+	}
+	return o
+}
+
+// memo is a content-hash cell cache with singleflight: one flight per
+// spec key, whose done channel releases the callers that asked for the
+// key while it simulated. A failed flight is dropped, so the next call
+// for its key simulates again.
+type memo struct {
+	mu      sync.Mutex
+	flights map[string]*flight
+}
+
+type flight struct {
+	done chan struct{}
+	res  smtsim.Result
+	err  error
+}
+
+// do returns the result for s, calling run when no flight for its key
+// exists. Each caller gets its own copy of Result.Threads. A nil memo
+// calls run every time.
+func (m *memo) do(s cellstore.Spec, run func() (smtsim.Result, error)) (smtsim.Result, error) {
+	if m == nil {
+		return run()
+	}
+	key := s.Key()
+	m.mu.Lock()
+	f, hit := m.flights[key]
+	if !hit {
+		f = &flight{done: make(chan struct{})}
+		m.flights[key] = f
+	}
+	m.mu.Unlock()
+	if hit {
+		<-f.done
+	} else {
+		f.res, f.err = run()
+		if f.err != nil {
+			m.mu.Lock()
+			delete(m.flights, key)
+			m.mu.Unlock()
+		}
+		close(f.done)
+	}
+	if f.err != nil {
+		return smtsim.Result{}, f.err
+	}
+	res := f.res
+	res.Threads = append([]smtsim.ThreadResult(nil), f.res.Threads...)
+	return res, nil
 }
 
 // CellRunner executes a batch of simulation cells and returns their
@@ -121,11 +189,17 @@ func SimulateSpec(s cellstore.Spec) (smtsim.Result, error) {
 	return smtsim.Run(cfg)
 }
 
+// simulate is runCells' in-process executor; tests replace it to count
+// or fail simulations.
+var simulate = SimulateSpec
+
 // runCells executes the cells concurrently and returns results in cell
-// order, delegating to Options.Runner when one is installed. The
-// Progress callback is serialized (callers pass closures that write to
-// shared state) and skipped for failed cells, whose results are not
-// meaningful.
+// order, delegating to Options.Runner when one is installed. In process,
+// cells go through the Options' memo (see Shared), and only cells that
+// actually simulate take a worker slot. The Progress callback fires once
+// per cell, memo hits included; it is serialized (callers pass closures
+// that write to shared state) and skipped for failed cells, whose
+// results are not meaningful.
 func runCells(cells []cell, o Options) ([]smtsim.Result, error) {
 	specs := make([]cellstore.Spec, len(cells))
 	for i := range cells {
@@ -150,10 +224,12 @@ func runCells(cells []cell, o Options) ([]smtsim.Result, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			c := cells[i]
-			res, err := SimulateSpec(specs[i])
+			res, err := o.memo.do(specs[i], func() (smtsim.Result, error) {
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				return simulate(specs[i])
+			})
 			results[i], errs[i] = res, err
 			if o.Progress != nil && err == nil {
 				progressMu.Lock()
@@ -425,6 +501,10 @@ var (
 // for 2-, 3-, and 4-threaded workloads (F4, F6, F8) share most of their
 // baselines, and single-thread runs are deterministic in (benchmark, IQ,
 // budget, warmup, seed), so cmd/smtreport pays for each baseline once.
+// In process, Shared's per-report memo would dedup these cells too; this
+// map stays because it is the only dedup on the Runner path. Dropping it
+// sends the F6/F8 baselines through the Runner again and so changes the
+// cell count a Runner sees per report (2126), which the benchmark pins.
 func AloneIPCs(threads int, o Options) (map[string]map[int]float64, error) {
 	mixes, err := workload.MixesFor(threads)
 	if err != nil {

@@ -221,3 +221,20 @@ func TestRoundRobinFetchOption(t *testing.T) {
 		t.Error("round-robin fetch produced no work")
 	}
 }
+
+// TestLongMemoryLatencyCompletes runs a legal but extreme memory
+// latency: a trip to memory takes 100k cycles, as long as the deadlock
+// check's no-commit floor, so the check must scale with the latency
+// rather than report a deadlock.
+func TestLongMemoryLatencyCompletes(t *testing.T) {
+	res := run(t, smtsim.Config{
+		Benchmarks:      []string{"mcf", "gzip"},
+		IQSize:          64,
+		Scheduler:       smtsim.TwoOpOOOD,
+		MemoryLatency:   100_000,
+		MaxInstructions: 2_000,
+	})
+	if res.Committed == 0 {
+		t.Errorf("nothing committed: %+v", res)
+	}
+}
