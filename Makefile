@@ -7,8 +7,11 @@
 # service, and the cell store.
 verify: vet lint test race
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	go vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the repository's own analyzer suite (detlint, allocfree,
 # statescope, cyclepure, idsafe, memocoherent, guardedby, golife,

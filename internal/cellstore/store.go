@@ -235,6 +235,17 @@ func (s *Store) Get(hash string) (smtsim.Result, bool, error) {
 	return smtsim.Result{}, false, nil
 }
 
+// Lookup returns the indexed result for hash and the index's own copy
+// of the hash string. Unlike Get it never reads a shard and counts no
+// traffic: it re-reads a cell the caller already saw land, and lets a
+// caller that keeps hashes share the index's strings.
+func (s *Store) Lookup(hash string) (key string, res smtsim.Result, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.index[hash]
+	return r.Hash, r.Result, ok
+}
+
 // Put persists one cell result. The record is appended to its shard as
 // a single write; a crash mid-append leaves a torn tail the next Open
 // recovers. Re-putting an existing hash is idempotent (cells are

@@ -56,7 +56,7 @@ func newEventWheel(horizon int) eventWheel {
 	backing := make([]completion, n*slotCap)
 	for i := range slots {
 		j := i * slotCap
-		slots[i] = backing[j:j : j+slotCap]
+		slots[i] = backing[j : j : j+slotCap]
 	}
 	return eventWheel{
 		slots: slots,
@@ -93,7 +93,7 @@ func (w *eventWheel) grow(need int64) {
 	backing := make([]completion, n*slotCap)
 	for i := range slots {
 		j := i * slotCap
-		slots[i] = backing[j:j : j+slotCap]
+		slots[i] = backing[j : j : j+slotCap]
 	}
 	for _, b := range w.slots {
 		for _, c := range b {

@@ -66,7 +66,7 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	landed := 0
 	done := false
 	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		var line struct {
 			cellLine

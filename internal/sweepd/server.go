@@ -78,24 +78,22 @@ func (c Config) pollInterval() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// outcome is one finished cell: a result or an error string.
-type outcome struct {
-	Result smtsim.Result
-	Err    string
-}
+// maxSweeps bounds the sweep history: past it, submitting a sweep
+// evicts the oldest finished ones, whose ids then answer 404. Sweeps
+// still running are never evicted.
+const maxSweeps = 1024
 
 // flight is the singleflight entry for one cell hash that is queued or
 // simulating. All sweeps that want the cell attach waiters; the first
 // submission enqueues it. Flights live in Server.flights and share the
-// Server's lock; spec is immutable after the constructing enqueue.
+// Server's lock; spec is immutable after the constructing enqueue. A
+// done flight succeeded, so its result is in the store.
 type flight struct {
 	spec cellstore.Spec
 	//smt:guarded-by(Server.mu)
 	waiters []waiter
 	//smt:guarded-by(Server.mu)
 	done bool
-	//smt:guarded-by(Server.mu)
-	out outcome
 }
 
 type waiter struct {
@@ -103,37 +101,55 @@ type waiter struct {
 	idx int
 }
 
-// sweepRun tracks one submitted cell set. id, hashes and specs are
-// immutable once the run is published in Server.sweeps; the mutable
-// completion state below mu is its own lock domain (workers complete
-// cells while handlers snapshot progress, without touching Server.mu).
+// sweepRun tracks one submitted cell set. It holds no results: a cell
+// lands only from a store hit or after a successful Put, so every
+// successful cell's result is read back from the store by hash. id and
+// hashes are immutable once the run is published in Server.sweeps; the
+// mutable completion state below mu is its own lock domain (workers
+// complete cells while handlers snapshot progress, without touching
+// Server.mu).
 type sweepRun struct {
-	id     string
+	id string
+	// hashes are the cells' content hashes, where possible the store
+	// index's own strings, so warm sweeps hold no copies of them.
 	hashes []string
-	specs  []cellstore.Spec
 
 	mu sync.Mutex
-	// outcomes is index-aligned with hashes, nil until the cell lands.
+	// done is index-aligned with hashes: set once the cell lands.
 	//smt:guarded-by(mu)
-	outcomes []*outcome
+	done []bool
+	// errs holds the error of each failed cell by index; a landed cell
+	// not in errs succeeded.
+	//smt:guarded-by(mu)
+	errs map[int]string
 	// landed holds indices in completion order (the stream order).
 	//smt:guarded-by(mu)
 	landed []int
-	//smt:guarded-by(mu)
-	remaining int
 }
 
-// complete records one cell's outcome; idx may land only once.
-func (r *sweepRun) complete(idx int, out outcome) {
+// complete records that cell idx landed, failed when errMsg is
+// non-empty; idx may land only once.
+func (r *sweepRun) complete(idx int, errMsg string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.outcomes[idx] != nil {
+	if r.done[idx] {
 		return
 	}
-	o := out
-	r.outcomes[idx] = &o
+	r.done[idx] = true
+	if errMsg != "" {
+		if r.errs == nil {
+			r.errs = make(map[int]string)
+		}
+		r.errs[idx] = errMsg
+	}
 	r.landed = append(r.landed, idx)
-	r.remaining--
+}
+
+// finished reports whether every cell has landed.
+func (r *sweepRun) finished() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.landed) == len(r.hashes)
 }
 
 // Stats is the /v1/stats payload.
@@ -175,6 +191,9 @@ type Server struct {
 	flights map[string]*flight
 	//smt:guarded-by(mu)
 	sweeps map[string]*sweepRun
+	// history lists the runs in sweeps, oldest first (eviction order).
+	//smt:guarded-by(mu)
+	history []*sweepRun
 	//smt:guarded-by(mu)
 	nextSweep int
 	//smt:guarded-by(mu)
@@ -293,7 +312,7 @@ func (s *Server) restoreCheckpoint() error {
 		if spec.Validate() != nil {
 			continue
 		}
-		s.enqueue(spec, nil)
+		s.enqueue(spec, spec.Key(), nil)
 	}
 	if err := os.Remove(s.checkpointPath()); err != nil {
 		return fmt.Errorf("sweepd: %w", err)
@@ -302,11 +321,10 @@ func (s *Server) restoreCheckpoint() error {
 	return nil
 }
 
-// enqueue registers a cell for simulation, deduplicating against
-// queued and in-flight identical cells, and attaches w (if non-nil) to
-// its completion. Returns the cell's hash.
-func (s *Server) enqueue(spec cellstore.Spec, w *waiter) string {
-	hash := spec.Key()
+// enqueue registers the cell spec, whose hash is hash, for simulation,
+// deduplicating against queued and in-flight identical cells, and
+// attaches w (if non-nil) to its completion.
+func (s *Server) enqueue(spec cellstore.Spec, hash string, w *waiter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.flights[hash]
@@ -320,7 +338,7 @@ func (s *Server) enqueue(spec cellstore.Spec, w *waiter) string {
 	}
 	if w != nil {
 		if f.done {
-			w.run.complete(w.idx, f.out)
+			w.run.complete(w.idx, "")
 		} else {
 			f.waiters = append(f.waiters, *w)
 		}
@@ -329,15 +347,15 @@ func (s *Server) enqueue(spec cellstore.Spec, w *waiter) string {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return hash
 }
 
-// finish marks a flight done and fans its outcome out to every waiter.
-// A successful flight entry stays (done) so late duplicate submissions
-// resolve without touching the store; memory is bounded by unique
-// cells. A failed flight is deleted so a future submission retries
-// instead of replaying a possibly transient error forever.
-func (s *Server) finish(hash string, out outcome) {
+// finish marks a flight done and lands it in every waiter, failed when
+// errMsg is non-empty. A successful flight entry stays (done) so late
+// duplicate submissions resolve without touching the store; memory is
+// bounded by unique cells. A failed flight is deleted so a future
+// submission retries instead of replaying a possibly transient error
+// forever.
+func (s *Server) finish(hash string, errMsg string) {
 	s.mu.Lock()
 	f := s.flights[hash]
 	if f == nil || f.done {
@@ -345,16 +363,42 @@ func (s *Server) finish(hash string, out outcome) {
 		return
 	}
 	f.done = true
-	f.out = out
 	waiters := f.waiters
 	f.waiters = nil
-	if out.Err != "" {
+	if errMsg != "" {
 		delete(s.flights, hash)
 	}
 	s.mu.Unlock()
 	for _, w := range waiters {
-		w.run.complete(w.idx, out)
+		w.run.complete(w.idx, errMsg)
 	}
+}
+
+// publish registers run under a fresh id, then evicts the oldest
+// finished sweeps while the history exceeds maxSweeps.
+func (s *Server) publish(run *sweepRun) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextSweep++
+	run.id = fmt.Sprintf("s%d", s.nextSweep)
+	s.sweeps[run.id] = run
+	s.history = append(s.history, run)
+	s.stats.Sweeps++
+	excess := len(s.history) - maxSweeps
+	if excess <= 0 {
+		return
+	}
+	kept := s.history[:0]
+	for _, r := range s.history {
+		if excess > 0 && r.finished() {
+			delete(s.sweeps, r.id)
+			excess--
+			continue
+		}
+		kept = append(kept, r)
+	}
+	clear(s.history[len(kept):])
+	s.history = kept
 }
 
 // --- HTTP handlers ----------------------------------------------------
@@ -393,42 +437,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Hash every cell before the run is published: once it is in
-	// s.sweeps, handlers on other goroutines read run.hashes, so the
-	// slice must be immutable by then.
+	// Hash every cell and land the store hits before the run is
+	// published: once it is in s.sweeps, handlers on other goroutines
+	// read run.hashes, so the slice must be immutable by then. A hit
+	// keeps the store index's copy of its hash.
 	hashes := make([]string, len(req.Cells))
-	for i, spec := range req.Cells {
-		hashes[i] = spec.Key()
-	}
 	run := &sweepRun{
-		specs:     req.Cells,
-		hashes:    hashes,
-		outcomes:  make([]*outcome, len(req.Cells)),
-		remaining: len(req.Cells),
+		hashes: hashes,
+		done:   make([]bool, len(hashes)),
+		landed: make([]int, 0, len(hashes)),
 	}
-
-	s.mu.Lock()
-	s.nextSweep++
-	run.id = fmt.Sprintf("s%d", s.nextSweep)
-	s.sweeps[run.id] = run
-	s.stats.Sweeps++
-	s.mu.Unlock()
-
-	cached := 0
+	var misses []int
 	for i, spec := range req.Cells {
-		hash := hashes[i]
-		if res, ok, err := s.store.Get(hash); err == nil && ok {
-			run.complete(i, outcome{Result: res})
-			cached++
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.mu.Unlock()
-			continue
+		hash := spec.Key()
+		if _, ok, err := s.store.Get(hash); err == nil && ok {
+			hash, _, _ = s.store.Lookup(hash)
+			run.complete(i, "")
+		} else {
+			misses = append(misses, i)
 		}
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		s.enqueue(spec, &waiter{run: run, idx: i})
+		hashes[i] = hash
+	}
+	s.publish(run)
+
+	cached := len(hashes) - len(misses)
+	s.mu.Lock()
+	s.stats.CacheHits += int64(cached)
+	s.stats.Misses += int64(len(misses))
+	s.mu.Unlock()
+	for _, i := range misses {
+		s.enqueue(req.Cells[i], hashes[i], &waiter{run: run, idx: i})
 	}
 	s.cfg.Logf("sweepd: sweep %s: %d cells, %d cached", run.id, len(req.Cells), cached)
 	writeJSON(w, http.StatusOK, submitResponse{
@@ -444,15 +482,18 @@ type cellLine struct {
 	Error  string         `json:"error,omitempty"`
 }
 
-func lineFor(idx int, hash string, o *outcome) cellLine {
-	l := cellLine{Index: idx, Hash: hash}
-	if o.Err != "" {
-		l.Error = o.Err
-	} else {
-		res := o.Result
-		l.Result = &res
+// readResult fills a landed cell's line with its result, read back
+// from the store. That read is not a store hit: the cell already
+// counted as a hit, or as a miss, when it landed.
+func (s *Server) readResult(l *cellLine) {
+	if l.Error != "" {
+		return
 	}
-	return l
+	if _, res, ok := s.store.Lookup(l.Hash); ok {
+		l.Result = &res
+	} else {
+		l.Error = fmt.Sprintf("cell %.8s missing from the store", l.Hash)
+	}
 }
 
 type sweepStatus struct {
@@ -480,14 +521,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		ID:       run.id,
 		Total:    len(run.hashes),
 		Done:     len(run.landed),
-		Complete: run.remaining == 0,
+		Complete: len(run.landed) == len(run.hashes),
 	}
-	for i, o := range run.outcomes {
-		if o != nil {
-			st.Cells = append(st.Cells, lineFor(i, run.hashes[i], o))
+	for i, done := range run.done {
+		if done {
+			st.Cells = append(st.Cells, cellLine{Index: i, Hash: run.hashes[i], Error: run.errs[i]})
 		}
 	}
 	run.mu.Unlock()
+	for i := range st.Cells {
+		s.readResult(&st.Cells[i])
+	}
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -509,10 +553,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		newly := run.landed[sent:]
 		lines := make([]cellLine, len(newly))
 		for i, idx := range newly {
-			lines[i] = lineFor(idx, run.hashes[idx], run.outcomes[idx])
+			lines[i] = cellLine{Index: idx, Hash: run.hashes[idx], Error: run.errs[idx]}
 		}
-		complete := run.remaining == 0
+		complete := len(run.landed) == len(run.hashes)
 		run.mu.Unlock()
+		for i := range lines {
+			s.readResult(&lines[i])
+		}
 		sent += len(lines)
 		for _, l := range lines {
 			if err := enc.Encode(l); err != nil {

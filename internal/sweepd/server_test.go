@@ -411,3 +411,67 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestPanickingCellIsAnError runs a sweep where one cell's simulation
+// panics: the sweep completes with that cell's error, the other cells
+// succeed, the server keeps serving, and a resubmission retries the
+// cell.
+func TestPanickingCellIsAnError(t *testing.T) {
+	specs := testSpecs(4)
+	bad := specs[2].Key()
+	srv, client, _ := newTestServer(t, func(c *Config) {
+		c.Simulate = func(s cellstore.Spec) (smtsim.Result, error) {
+			if s.Key() == bad {
+				panic("event wheel slot collision")
+			}
+			return fakeSimulate(s)
+		}
+	})
+	sweepOnce := func() sweepStatus {
+		body, _ := json.Marshal(submitRequest{Cells: specs})
+		resp, err := http.Post(client.url("/v1/sweep"), "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub submitResponse
+		if err := decodeJSON(resp, &sub); err != nil {
+			t.Fatal(err)
+		}
+		var st sweepStatus
+		waitFor(t, 5*time.Second, func() bool {
+			resp, err := http.Get(client.url("/v1/sweeps/" + sub.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := decodeJSON(resp, &st); err != nil {
+				t.Fatal(err)
+			}
+			return st.Complete
+		})
+		return st
+	}
+
+	st := sweepOnce()
+	if len(st.Cells) != len(specs) {
+		t.Fatalf("%d cells landed, want %d", len(st.Cells), len(specs))
+	}
+	for _, c := range st.Cells {
+		if c.Index == 2 {
+			if !strings.Contains(c.Error, "panic: event wheel slot collision") || c.Result != nil {
+				t.Errorf("panicking cell: %+v", c)
+			}
+		} else if c.Error != "" || c.Result == nil {
+			t.Errorf("cell %d: %+v", c.Index, c)
+		}
+	}
+
+	// The failed flight was dropped, so the cell simulates again.
+	sweepOnce()
+	if sims := srv.StatsSnapshot().Simulations; sims != int64(len(specs)+1) {
+		t.Errorf("simulations = %d, want %d (the panicking cell retried)", sims, len(specs)+1)
+	}
+	good := append(append([]cellstore.Spec(nil), specs[:2]...), specs[3:]...)
+	if _, err := client.RunCells(good); err != nil {
+		t.Errorf("server stopped serving after a panic: %v", err)
+	}
+}

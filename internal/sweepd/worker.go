@@ -3,6 +3,9 @@ package sweepd
 import (
 	"fmt"
 	"time"
+
+	"smtsim"
+	"smtsim/internal/cellstore"
 )
 
 // worker drains the cell queue until Shutdown. Each iteration claims
@@ -71,16 +74,16 @@ func (s *Server) process(hash string) {
 	s.mu.Unlock()
 
 	for {
-		if res, ok, err := s.store.Get(hash); err == nil && ok {
-			s.finish(hash, outcome{Result: res})
+		if _, ok, err := s.store.Get(hash); err == nil && ok {
+			s.finish(hash, "")
 			return
 		} else if err != nil {
-			s.finish(hash, outcome{Err: err.Error()})
+			s.finish(hash, err.Error())
 			return
 		}
 		acquired, err := s.store.TryLease(hash, s.cfg.Owner, s.cfg.leaseTTL())
 		if err != nil {
-			s.finish(hash, outcome{Err: err.Error()})
+			s.finish(hash, err.Error())
 			return
 		}
 		if acquired {
@@ -102,7 +105,7 @@ func (s *Server) process(hash string) {
 	s.mu.Lock()
 	s.stats.Inflight++
 	s.mu.Unlock()
-	res, err := s.cfg.Simulate(spec)
+	res, err := s.simulate(spec)
 	s.mu.Lock()
 	s.stats.Inflight--
 	s.stats.Simulations++
@@ -110,14 +113,26 @@ func (s *Server) process(hash string) {
 
 	if err != nil {
 		s.store.Release(hash, s.cfg.Owner)
-		s.finish(hash, outcome{Err: fmt.Sprintf("simulating %.8s: %v", hash, err)})
+		s.finish(hash, fmt.Sprintf("simulating %.8s: %v", hash, err))
 		return
 	}
 	if _, err := s.store.Put(spec, res); err != nil {
 		s.store.Release(hash, s.cfg.Owner)
-		s.finish(hash, outcome{Err: err.Error()})
+		s.finish(hash, err.Error())
 		return
 	}
 	s.store.Release(hash, s.cfg.Owner)
-	s.finish(hash, outcome{Result: res})
+	s.finish(hash, "")
+}
+
+// simulate runs one cell, turning a panic in the simulator into that
+// cell's error: one bad cell must not take the daemon down, and a
+// resubmission retries it.
+func (s *Server) simulate(spec cellstore.Spec) (res smtsim.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return s.cfg.Simulate(spec)
 }
