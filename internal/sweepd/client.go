@@ -47,7 +47,11 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
-	var sub submitResponse
+	// The response also lists every cell's hash; the stream carries
+	// them again, so decode only the id.
+	var sub struct {
+		ID string `json:"id"`
+	}
 	if err := decodeJSON(resp, &sub); err != nil {
 		return nil, err
 	}
@@ -68,11 +72,8 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	sc := bufio.NewScanner(stream.Body)
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
-		var line struct {
-			cellLine
-			Done bool `json:"done"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		line, err := decodeStreamLine(sc.Bytes())
+		if err != nil {
 			return nil, fmt.Errorf("sweepd client: bad stream line %q: %w", sc.Text(), err)
 		}
 		if line.Done {

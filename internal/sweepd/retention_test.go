@@ -16,7 +16,7 @@ import (
 
 // submitDirect posts specs to srv's handler in process, without a
 // listener, and returns the submit response.
-func submitDirect(t *testing.T, srv *Server, specs []cellstore.Spec) submitResponse {
+func submitDirect(t testing.TB, srv *Server, specs []cellstore.Spec) submitResponse {
 	t.Helper()
 	body, err := json.Marshal(submitRequest{Cells: specs})
 	if err != nil {

@@ -83,6 +83,11 @@ func (c Config) pollInterval() time.Duration {
 // still running are never evicted.
 const maxSweeps = 1024
 
+// maxCellsPerSweep bounds one submission, so a single request cannot
+// pin unbounded hashing, flight and history state. It is far above the
+// paper's full grid (sweep.Table1Specs is 540 cells).
+const maxCellsPerSweep = 1 << 16
+
 // flight is the singleflight entry for one cell hash that is queued or
 // simulating. All sweeps that want the cell attach waiters; the first
 // submission enqueues it. Flights live in Server.flights and share the
@@ -427,6 +432,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Cells) == 0 {
 		httpError(w, http.StatusBadRequest, "empty cell set")
+		return
+	}
+	if len(req.Cells) > maxCellsPerSweep {
+		httpError(w, http.StatusBadRequest, "%d cells exceed the cap of %d per sweep", len(req.Cells), maxCellsPerSweep)
 		return
 	}
 	for i := range req.Cells {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -160,10 +161,7 @@ func TestStreamMatchesFinal(t *testing.T) {
 	defer stream.Body.Close()
 	sc := bufio.NewScanner(stream.Body)
 	for sc.Scan() {
-		var line struct {
-			cellLine
-			Done bool `json:"done"`
-		}
+		var line streamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -360,6 +358,47 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown sweep: status %v", resp.Status)
 		}
+	}
+}
+
+// TestCellsPerSweepCap submits one cell more than maxCellsPerSweep,
+// which is refused before any cell is hashed or looked up, then exactly
+// maxCellsPerSweep, which is accepted. The cells repeat one spec, so
+// the accepted sweep simulates once.
+func TestCellsPerSweepCap(t *testing.T) {
+	srv, _, store := newTestServer(t, nil)
+	submit := func(n int) *httptest.ResponseRecorder {
+		cells := make([]cellstore.Spec, n)
+		for i := range cells {
+			cells[i] = testSpecs(1)[0]
+		}
+		body, err := json.Marshal(submitRequest{Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		return rec
+	}
+
+	rec := submit(maxCellsPerSweep + 1)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), fmt.Sprint(maxCellsPerSweep)) {
+		t.Errorf("over the cap: %d %s, want 400 naming the cap", rec.Code, rec.Body)
+	}
+	if st := store.StatsSnapshot(); st.Hits+st.Misses != 0 {
+		t.Errorf("refused sweep reached the store: %+v", st)
+	}
+	if st := srv.StatsSnapshot(); st.Sweeps != 0 {
+		t.Errorf("refused sweep was published: %d sweeps", st.Sweeps)
+	}
+
+	rec = submit(maxCellsPerSweep)
+	var sub submitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("at the cap: %d %.200s", rec.Code, rec.Body)
+	}
+	if sub.Total != maxCellsPerSweep {
+		t.Errorf("accepted sweep has %d cells, want %d", sub.Total, maxCellsPerSweep)
 	}
 }
 
