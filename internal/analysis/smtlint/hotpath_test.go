@@ -112,8 +112,6 @@ var hotpathManifest = []string{
 	"pipeline.Core.recomputeFetchHorizon",
 	"pipeline.Core.rename",
 	"pipeline.Core.stepCycle",
-	"pipeline.Core.stepGated",
-	"pipeline.Core.stepPlain",
 	"pipeline.Core.writeback",
 	"pipeline.eventWheel.hasDue",
 	"pipeline.eventWheel.nextDue",

@@ -533,46 +533,45 @@ func (c *Core) Step() { c.stepCycle() }
 // fetch. Run uses a quiescent cycle as the fast-forward trigger (see
 // fastForward).
 //
-// Three bodies implement it. Event-wakeup mode steps through stepGated,
-// which consults the per-stage activity horizons and runs only the due
-// stages. The polling mode (and a forcePlain event core) steps through
-// stepPlain, the ungated reference walk. Any core with a sanitizer
-// attached steps through stepVerify, which is the plain walk plus a
-// cycle-for-cycle cross-check of every horizon predicate — so the whole
-// sanitized test suite differentially validates the gating, and a stale
-// horizon is caught within one cycle.
+// It is the one stage sequence of the machine: writeback, commit,
+// issue, dispatch, watchdog, rename, fetch. In event-wakeup mode each
+// stage first consults its activity horizon and runs only when due; a
+// skipped stage replays only its round-robin rotation (commit, rename)
+// or selector tick (fetch), since the horizon's contract guarantees
+// everything else it would touch is untouched. Each due predicate is
+// evaluated immediately before its stage, never earlier, because
+// upstream stages feed the predicates within the cycle: writeback sets
+// commitable bits commit consumes, its broadcasts grow the ready list
+// issue consumes, and a watchdog flush rewrites the front-end state
+// rename and fetch consult.
+//
+// A core in walk mode runs every stage every cycle: the polling mode
+// and a forcePlain event core (the ungated reference), and any core
+// with a sanitizer attached. Under the sanitizer the horizons are still
+// evaluated, and a stage that does work while its predicate said "not
+// due" is a stale horizon, reported through horizonFail the same cycle.
+// A skipped stage's replay matches what the stage does when it runs
+// idle, so all three modes evolve bit-identical state and the whole
+// sanitized test suite doubles as a horizon audit.
 //
 //smt:hotpath
 func (c *Core) stepCycle() bool {
-	if c.san != nil {
-		return c.stepVerify()
-	}
-	if c.eventWakeup && !c.forcePlain {
-		return c.stepGated()
-	}
-	return c.stepPlain()
-}
-
-// stepGated runs one cycle consulting each stage's activity horizon.
-// Each stage's due predicate is evaluated immediately before the stage
-// would run — never earlier — because upstream stages feed the
-// predicates within the cycle: writeback sets commitable bits commit
-// consumes, its broadcasts grow the ready list issue consumes, and a
-// watchdog flush rewrites the front-end state rename and fetch consult.
-// A skipped stage's only replayed state is its round-robin rotation
-// (commit, rename) or selector tick (fetch); everything else it would
-// have touched is provably untouched by the horizon's contract.
-//
-//smt:hotpath
-func (c *Core) stepGated() bool {
 	c.cycle++
+	gated := c.eventWakeup && !c.forcePlain
+	walk := !gated || c.san != nil
 	popped := 0
-	if c.events.hasDue(c.cycle) {
+	if due := !gated || c.events.hasDue(c.cycle); due || walk {
 		popped = c.writeback()
+		if !due && popped != 0 {
+			c.horizonFail("writeback", popped)
+		}
 	}
 	committed := 0
-	if !c.commitSkip || c.commitable != 0 {
+	if due := !gated || !c.commitSkip || c.commitable != 0; due || walk {
 		committed = c.commit()
+		if !due && committed != 0 {
+			c.horizonFail("commit", committed)
+		}
 	} else {
 		c.commitRR++
 		if c.commitRR == c.nthreads {
@@ -580,8 +579,11 @@ func (c *Core) stepGated() bool {
 		}
 	}
 	issued := 0
-	if c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0 {
+	if due := !gated || c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0; due || walk {
 		issued = c.issue()
+		if !due && issued != 0 {
+			c.horizonFail("issue", issued)
+		}
 	}
 	dispatched := 0
 	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
@@ -595,8 +597,11 @@ func (c *Core) stepGated() bool {
 		fired = true
 	}
 	renamed := 0
-	if c.renameHorizon <= c.cycle {
+	if due := !gated || c.renameHorizon <= c.cycle; due || walk {
 		renamed = c.rename()
+		if !due && renamed != 0 {
+			c.horizonFail("rename", renamed)
+		}
 	} else {
 		c.renameRR++
 		if c.renameRR == c.nthreads {
@@ -606,97 +611,19 @@ func (c *Core) stepGated() bool {
 	// The stages that feed dispatch and ran after it this cycle (flush,
 	// rename) unfreeze it; writeback/commit/issue run before dispatch
 	// next cycle and are checked there.
-	c.dispFrozen = dispatched == 0 && !fired && renamed == 0
+	c.dispFrozen = c.eventWakeup && dispatched == 0 && !fired && renamed == 0
 	fetchable := false
-	if c.fetchHorizon <= c.cycle {
+	if due := !gated || c.fetchHorizon <= c.cycle; due || walk {
 		fetchable = c.fetch()
+		if !due && fetchable {
+			c.horizonFail("fetch", 1)
+		}
 	} else {
 		c.sel.SkipIdle(1)
 	}
-	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
-		!fired && renamed == 0 && !fetchable
-}
-
-// stepPlain is the ungated reference walk: every stage runs every cycle.
-// It is the polling mode's step and the horizon differential tests'
-// reference (forcePlain).
-//
-//smt:hotpath
-func (c *Core) stepPlain() bool {
-	c.cycle++
-	popped := c.writeback()
-	committed := c.commit()
-	issued := c.issue()
-	dispatched := 0
-	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
-		c.disp.ReplayIdle(1)
-	} else {
-		dispatched = c.disp.Run(c.cycle, c.q, c.rf, c.robs)
+	if c.san != nil {
+		c.sanitize()
 	}
-	fired := false
-	if c.wdog != nil && c.wdog.Tick(dispatched > 0) {
-		c.flushAll()
-		fired = true
-	}
-	renamed := c.rename()
-	c.dispFrozen = c.eventWakeup && dispatched == 0 && !fired && renamed == 0
-	fetchable := c.fetch()
-	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
-		!fired && renamed == 0 && !fetchable
-}
-
-// stepVerify is the sanitizer's step: the plain walk, with every horizon
-// predicate evaluated at exactly the point stepGated would consult it
-// and cross-checked against the stage's actual behavior. A predicate
-// that says "idle" while the stage performs work is a stale horizon —
-// the gated step would have skipped real work — and is reported through
-// the sanitizer error channel the same cycle. State evolution is
-// bit-identical to both stepGated and stepPlain (skipped-stage rotation
-// replays match what the stages do when idle), so sanitized runs remain
-// valid differential references.
-//
-//smt:coldpath — diagnostic walk: runs only with a sanitizer attached, never in measured configurations
-func (c *Core) stepVerify() bool {
-	c.cycle++
-	gated := c.eventWakeup && !c.forcePlain
-	dueWB := !gated || c.events.hasDue(c.cycle)
-	popped := c.writeback()
-	if !dueWB && popped != 0 {
-		c.horizonFail("writeback", popped)
-	}
-	dueCm := !gated || !c.commitSkip || c.commitable != 0
-	committed := c.commit()
-	if !dueCm && committed != 0 {
-		c.horizonFail("commit", committed)
-	}
-	dueIs := !gated || c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0
-	issued := c.issue()
-	if !dueIs && issued != 0 {
-		c.horizonFail("issue", issued)
-	}
-	dispatched := 0
-	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
-		c.disp.ReplayIdle(1)
-	} else {
-		dispatched = c.disp.Run(c.cycle, c.q, c.rf, c.robs)
-	}
-	fired := false
-	if c.wdog != nil && c.wdog.Tick(dispatched > 0) {
-		c.flushAll()
-		fired = true
-	}
-	dueRn := !gated || c.renameHorizon <= c.cycle
-	renamed := c.rename()
-	if !dueRn && renamed != 0 {
-		c.horizonFail("rename", renamed)
-	}
-	c.dispFrozen = c.eventWakeup && dispatched == 0 && !fired && renamed == 0
-	dueFt := !gated || c.fetchHorizon <= c.cycle
-	fetchable := c.fetch()
-	if !dueFt && fetchable {
-		c.horizonFail("fetch", 1)
-	}
-	c.sanitize()
 	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
 		!fired && renamed == 0 && !fetchable
 }

@@ -30,12 +30,14 @@ func fuzzProfile(kind uint8, name string) synth.Profile {
 }
 
 // runFuzzConfig runs one (scheduler, wakeup) point of a fuzz case and
-// returns the cycle count, per-thread committed streams, and per-thread
-// committed counts. Every core runs under the invariant sanitizer
-// (test-wide testSanitize), so structural violations fail-stop here
-// before the metamorphic comparison even happens.
+// returns the cycle count and per-thread committed streams. A sanitized
+// core runs under the invariant sanitizer (test-wide testSanitize), so
+// structural violations fail-stop here before the metamorphic comparison
+// even happens; it also walks every stage every cycle. An unsanitized
+// event-wakeup core is the production path, which skips the stages its
+// horizons report idle.
 func runFuzzConfig(t *testing.T, cfg Config, profiles []synth.Profile, seed uint64,
-	budget uint64) (cycles int64, streams [][]commitRec) {
+	budget uint64, sanitized bool) (cycles int64, streams [][]commitRec) {
 	t.Helper()
 	specs := make([]ThreadSpec, len(profiles))
 	for i, p := range profiles {
@@ -49,12 +51,15 @@ func runFuzzConfig(t *testing.T, cfg Config, profiles []synth.Profile, seed uint
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	if !sanitized {
+		c.disableSanitizer()
+	}
 	streams = make([][]commitRec, len(profiles))
 	c.SetCommitHook(func(u *uop.UOp) {
 		streams[u.Thread] = append(streams[u.Thread], commitRec{seq: u.Inst.Seq, pc: u.Inst.PC})
 	})
 	if _, err := c.Run(budget); err != nil {
-		t.Fatalf("%s polling=%t: %v", cfg.Policy, cfg.PollingWakeup, err)
+		t.Fatalf("%s polling=%t sanitized=%t: %v", cfg.Policy, cfg.PollingWakeup, sanitized, err)
 	}
 	return c.Cycle(), streams
 }
@@ -66,9 +71,9 @@ func runFuzzConfig(t *testing.T, cfg Config, profiles []synth.Profile, seed uint
 // disciplines, asserting the properties that hold regardless of
 // schedule:
 //
-//  1. Event-driven wakeup is bit-identical to polling wakeup: same
-//     cycle count and same per-thread committed instruction streams
-//     (DESIGN.md §5).
+//  1. Event-driven wakeup is bit-identical to polling wakeup, and the
+//     horizon-gated run to the every-stage walk: same cycle count and
+//     same per-thread committed instruction streams (DESIGN.md §5, §12).
 //  2. All three schedulers commit the same per-thread instruction
 //     streams — dispatch order may differ, commit order may not. The
 //     runs stop at different points, so the comparison is
@@ -77,8 +82,12 @@ func runFuzzConfig(t *testing.T, cfg Config, profiles []synth.Profile, seed uint
 //     numbers count 0,1,2,... with no skip or duplicate, even across
 //     watchdog flushes and misprediction squashes.
 //
-// Every run also executes under the cycle-level invariant sanitizer
-// (internal/simsan), which fail-stops on structural corruption.
+// The event and polling runs also execute under the cycle-level
+// invariant sanitizer (internal/simsan), which fail-stops on structural
+// corruption. A sanitized core walks every stage, so each policy also
+// runs a third time on the production path, event wakeup with no
+// sanitizer, where stages whose horizons report idle are skipped; that
+// run must match the sanitized event run exactly.
 func FuzzPipeline(f *testing.F) {
 	// Seeds span 1-4 threads, both deadlock mechanisms, the IQ-size
 	// range the paper sweeps, and all three ILP classes. All three
@@ -124,26 +133,15 @@ func FuzzPipeline(f *testing.F) {
 			cfg.Policy = policy
 
 			cfg.PollingWakeup = false
-			evCycles, evStreams := runFuzzConfig(t, cfg, profiles, seed, commits)
+			evCycles, evStreams := runFuzzConfig(t, cfg, profiles, seed, commits, true)
+			gaCycles, gaStreams := runFuzzConfig(t, cfg, profiles, seed, commits, false)
 			cfg.PollingWakeup = true
-			poCycles, poStreams := runFuzzConfig(t, cfg, profiles, seed, commits)
+			poCycles, poStreams := runFuzzConfig(t, cfg, profiles, seed, commits, true)
 
-			// Property 1: wakeup disciplines are bit-identical.
-			if evCycles != poCycles {
-				t.Errorf("%s: cycles diverge: event %d, polling %d", policy, evCycles, poCycles)
-			}
-			for tid := range evStreams {
-				if len(evStreams[tid]) != len(poStreams[tid]) {
-					t.Fatalf("%s thread %d: commit counts diverge: event %d, polling %d",
-						policy, tid, len(evStreams[tid]), len(poStreams[tid]))
-				}
-				for i, r := range evStreams[tid] {
-					if r != poStreams[tid][i] {
-						t.Fatalf("%s thread %d: commit %d diverges: event %+v, polling %+v",
-							policy, tid, i, r, poStreams[tid][i])
-					}
-				}
-			}
+			// Property 1: wakeup disciplines are bit-identical, and
+			// horizon gating skips no work.
+			assertSameRun(t, policy, "polling", evCycles, evStreams, poCycles, poStreams)
+			assertSameRun(t, policy, "gated", evCycles, evStreams, gaCycles, gaStreams)
 
 			// Property 3: the committed stream replays the trace exactly.
 			for tid, s := range evStreams {
@@ -174,4 +172,27 @@ func FuzzPipeline(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertSameRun requires a run to match the sanitized event-wakeup run
+// of the same case: the same cycle count and the same per-thread
+// committed streams.
+func assertSameRun(t *testing.T, policy icore.Policy, name string,
+	evCycles int64, evStreams [][]commitRec, cycles int64, streams [][]commitRec) {
+	t.Helper()
+	if evCycles != cycles {
+		t.Errorf("%s: cycles diverge: event %d, %s %d", policy, evCycles, name, cycles)
+	}
+	for tid := range evStreams {
+		if len(evStreams[tid]) != len(streams[tid]) {
+			t.Fatalf("%s thread %d: commit counts diverge: event %d, %s %d",
+				policy, tid, len(evStreams[tid]), name, len(streams[tid]))
+		}
+		for i, r := range evStreams[tid] {
+			if r != streams[tid][i] {
+				t.Fatalf("%s thread %d: commit %d diverges: event %+v, %s %+v",
+					policy, tid, i, r, name, streams[tid][i])
+			}
+		}
+	}
 }

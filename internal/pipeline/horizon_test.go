@@ -34,7 +34,7 @@ func runCommitStream(t *testing.T, policy icore.Policy, forcePlain bool, maxComm
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.disableSanitizer() // exercise stepGated/stepPlain, not stepVerify
+	c.disableSanitizer() // unsanitized, a gated core really skips idle stages
 	c.forcePlain = forcePlain
 	var stream []commitRecord
 	c.SetCommitHook(func(u *uop.UOp) {

@@ -482,6 +482,10 @@ func TestPanickingCellIsAnError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Decode each poll into a fresh value: encoding/json reuses
+			// slice elements, so a cell that shifted position would keep
+			// the previous poll's result pointer.
+			st = sweepStatus{}
 			if err := decodeJSON(resp, &st); err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,10 @@
 #
 # Runs the end-to-end machine benchmark plus the issue-queue
 # microbenchmarks with allocation reporting, 5 samples each, and stores
-# both the raw `go test -bench` output and machine context so before/after
-# comparisons stay honest.
+# both the raw `go test -bench` output and machine context. The artifact
+# is a record, not a comparison: numbers from different hosts or sessions
+# do not compare, so a speed claim is an interleaved A/B against the base
+# commit with smtbench/ab.sh.
 #
 # Usage: scripts/bench.sh [output.json]
 #   output.json   artifact path (default: $BENCH_OUT, then BENCH.json)
@@ -61,41 +63,4 @@ with open(os.environ["OUT"], "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 print(f"wrote {os.environ['OUT']}")
-
-# Delta table: compare the end-to-end machine benchmark against the
-# most recent prior BENCH_PR*.json artifact (same-host history), so a
-# recording immediately shows what the change bought or cost.
-import glob, re, statistics
-
-def table1_medians(lines):
-    """Median ns/op, cycles/s, B/op, allocs/op of BenchmarkTable1Machine lines."""
-    cols = {"ns/op": [], "cycles/s": [], "B/op": [], "allocs/op": []}
-    for ln in lines:
-        if not ln.startswith("BenchmarkTable1Machine"):
-            continue
-        for val, unit in re.findall(r"([\d.]+)\s+(ns/op|cycles/s|B/op|allocs/op)", ln):
-            cols[unit].append(float(val))
-    return {u: statistics.median(v) for u, v in cols.items() if v}
-
-def pr_number(path):
-    m = re.search(r"BENCH_PR(\d+)\.json$", path)
-    return int(m.group(1)) if m else -1
-
-out = os.path.abspath(os.environ["OUT"])
-priors = [p for p in sorted(glob.glob("BENCH_PR*.json"), key=pr_number)
-          if pr_number(p) >= 0 and os.path.abspath(p) != out]
-if priors:
-    prior = priors[-1]
-    with open(prior) as f:
-        prev = table1_medians(json.load(f).get("lines", []))
-    cur = table1_medians(raw.split("\n"))
-    both = [u for u in ("cycles/s", "ns/op", "B/op", "allocs/op") if u in prev and u in cur]
-    if both:
-        print(f"\nBenchmarkTable1Machine medians vs {prior}:")
-        print(f"  {'metric':<10} {'prior':>12} {'now':>12} {'delta':>8}")
-        for u in both:
-            d = (cur[u] - prev[u]) / prev[u] * 100 if prev[u] else float("nan")
-            print(f"  {u:<10} {prev[u]:>12.0f} {cur[u]:>12.0f} {d:>+7.1f}%")
-    else:
-        print(f"\nno comparable BenchmarkTable1Machine lines in {prior}")
 EOF
